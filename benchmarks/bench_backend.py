@@ -2,9 +2,8 @@
 
 The paper's thesis is that a lightweight runtime turns the tile-QR DAG into
 hardware utilisation; for the *real-numerics* backends that only holds if
-the executor escapes the GIL — or, for the single-threaded ``batched``
-backend, escapes per-op Python dispatch by fusing each wavefront of the DAG
-into stacked NumPy kernel calls.  This benchmark times the functional
+the executor escapes the GIL.  The single-threaded ``batched`` backend runs
+the DAG wavefront by wavefront on the same LAPACK kernels.  This benchmark times the functional
 backends on one tall-skinny problem, verifies they produce bit-identical
 factors, and records the result in ``BENCH_backend.json`` so the perf
 trajectory of the real-numerics path is tracked across changes.

@@ -1,67 +1,86 @@
-"""Substrate benchmark E8 — throughput of the real NumPy tile kernels.
+"""Substrate benchmark E8 — time and rate of each LAPACK tile kernel.
 
-These measure the actual compute kernels (not the machine model): useful
-for spotting performance regressions in the numerics and for choosing
-``nb``/``ib`` on the host running the functional backends.
+These measure the real compute kernels (not the machine model), one call
+on one ``nb x nb`` tile (pair) each, in µs and Gflop/s with the exact
+:mod:`repro.kernels.flops` counts.  Useful for spotting regressions in the
+kernel wrappers and for choosing ``nb``/``ib`` on the host running the
+functional backends.
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py     # table, nb 64 128 192
+    PYTHONPATH=src python benchmarks/bench_kernels.py --nb 64 --ib 16
+    PYTHONPATH=src pytest benchmarks/bench_kernels.py --benchmark-only
 """
 
 from __future__ import annotations
 
+import argparse
+import time
+
 import numpy as np
 import pytest
 
-from repro.kernels import geqrt, kernel_flops, ormqr, tsmqr, tsqrt, ttmqr, ttqrt
-from repro.kernels.batched import geqrt_batched, tsmqr_batched, tsqrt_batched
+from repro.kernels import (
+    geqrt,
+    kernel_flops,
+    ormqr,
+    tsmqr,
+    tsqrt,
+    ttmqr,
+    ttqrt,
+)
 
+KINDS = ("GEQRT", "ORMQR", "TSQRT", "TSMQR", "TTQRT", "TTMQR")
 NB, IB = 128, 32
 
 
-@pytest.fixture()
-def tile_rng():
-    return np.random.default_rng(99)
+def kernel_call(kind: str, nb: int, ib: int, rng: np.random.Generator):
+    """``(call, flops)``: a no-argument call of ``kind`` on fresh copies of
+    random ``nb x nb`` operands, and the flops of one call."""
+    a = rng.standard_normal((nb, nb))
+    r = np.triu(rng.standard_normal((nb, nb)))
+    b = rng.standard_normal((nb, nb))
+    c1 = rng.standard_normal((nb, nb))
+    c2 = rng.standard_normal((nb, nb))
+    flops = kernel_flops(kind, nb, nb, nb, ib)
+    if kind == "GEQRT":
+        return (lambda: geqrt(a.copy(), ib)), flops
+    if kind == "ORMQR":
+        v = a.copy()
+        t = geqrt(v, ib)
+        return (lambda: ormqr(v, t, c1.copy())), flops
+    if kind == "TSQRT":
+        return (lambda: tsqrt(r.copy(), b.copy(), ib)), flops
+    if kind == "TTQRT":
+        r2 = np.triu(b)
+        return (lambda: ttqrt(r.copy(), r2.copy(), ib)), flops
+    factor, update = (tsqrt, tsmqr) if kind == "TSMQR" else (ttqrt, ttmqr)
+    v2 = b.copy() if kind == "TSMQR" else np.triu(b)
+    t = factor(r.copy(), v2, ib)
+    return (lambda: update(v2, t, c1.copy(), c2.copy())), flops
 
 
-def test_geqrt(benchmark, tile_rng):
-    a0 = tile_rng.standard_normal((NB, NB))
-    t = benchmark(lambda: geqrt(a0.copy(), IB))
-    assert t.shape == (IB, NB)
+def time_kernel(kind: str, nb: int, ib: int, *, min_s: float = 0.2) -> tuple[float, float]:
+    """Best-of-5 ``(µs per call, Gflop/s)`` of ``kind`` on ``nb`` tiles."""
+    call, flops = kernel_call(kind, nb, ib, np.random.default_rng(99))
+    call()
+    reps, t0 = 0, time.perf_counter()
+    while time.perf_counter() - t0 < min_s / 5:
+        call()
+        reps += 1
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            call()
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best * 1e6, flops / best / 1e9
 
 
-def test_ormqr(benchmark, tile_rng):
-    a = tile_rng.standard_normal((NB, NB))
-    t = geqrt(a, IB)
-    c0 = tile_rng.standard_normal((NB, NB))
-    benchmark(lambda: ormqr(a, t, c0.copy()))
-
-
-def test_tsqrt(benchmark, tile_rng):
-    r0 = np.triu(tile_rng.standard_normal((NB, NB)))
-    b0 = tile_rng.standard_normal((NB, NB))
-    benchmark(lambda: tsqrt(r0.copy(), b0.copy(), IB))
-
-
-def test_tsmqr(benchmark, tile_rng):
-    r = np.triu(tile_rng.standard_normal((NB, NB)))
-    b = tile_rng.standard_normal((NB, NB))
-    t = tsqrt(r, b, IB)
-    c1 = tile_rng.standard_normal((NB, NB))
-    c2 = tile_rng.standard_normal((NB, NB))
-    benchmark(lambda: tsmqr(b, t, c1.copy(), c2.copy()))
-
-
-def test_ttqrt(benchmark, tile_rng):
-    r1 = np.triu(tile_rng.standard_normal((NB, NB)))
-    r2 = np.triu(tile_rng.standard_normal((NB, NB)))
-    benchmark(lambda: ttqrt(r1.copy(), r2.copy(), IB))
-
-
-def test_ttmqr(benchmark, tile_rng):
-    r1 = np.triu(tile_rng.standard_normal((NB, NB)))
-    r2 = np.triu(tile_rng.standard_normal((NB, NB)))
-    t = ttqrt(r1, r2, IB)
-    c1 = tile_rng.standard_normal((NB, NB))
-    c2 = tile_rng.standard_normal((NB, NB))
-    benchmark(lambda: ttmqr(r2, t, c1.copy(), c2.copy()))
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel(benchmark, kind):
+    call, flops = kernel_call(kind, NB, IB, np.random.default_rng(99))
+    benchmark.extra_info["flops"] = flops  # Gflop/s = flops / time / 1e9
+    benchmark(call)
 
 
 def test_kernel_flop_ratios():
@@ -73,73 +92,18 @@ def test_kernel_flop_ratios():
     assert 0.3 < tt / ts < 0.7
 
 
-# -- batched (stacked) kernels vs a scalar loop ------------------------------
-#
-# The wavefront executor fuses B same-shape ops into one stacked call; these
-# pairs measure exactly the per-op Python/NumPy dispatch overhead that fusion
-# amortises.  Same total work in each pair — only the call structure differs.
-
-BATCH, NB_B, IB_B = 8, 64, 16
-
-
-def test_geqrt_scalar_loop(benchmark, tile_rng):
-    a0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    benchmark(lambda: [geqrt(a, IB_B) for a in a0.copy()])
-
-
-def test_geqrt_batched(benchmark, tile_rng):
-    a0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    t = benchmark(lambda: geqrt_batched(a0.copy(), IB_B))
-    assert t.shape == (BATCH, IB_B, NB_B)
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--nb", type=int, nargs="+", default=[64, 128, 192])
+    p.add_argument("--ib", type=int, default=16)
+    args = p.parse_args(argv)
+    print(f"{'kernel':<8}{'nb':>6}{'ib':>5}{'µs/call':>12}{'Gflop/s':>10}")
+    for nb in args.nb:
+        for kind in KINDS:
+            us, gflops = time_kernel(kind, nb, args.ib)
+            print(f"{kind:<8}{nb:>6}{args.ib:>5}{us:>12.1f}{gflops:>10.2f}")
+    return 0
 
 
-def test_tsqrt_scalar_loop(benchmark, tile_rng):
-    r0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    b0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-
-    def run():
-        r, b = r0.copy(), b0.copy()
-        return [tsqrt(r[i], b[i], IB_B) for i in range(BATCH)]
-
-    benchmark(run)
-
-
-def test_tsqrt_batched(benchmark, tile_rng):
-    r0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    b0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    benchmark(lambda: tsqrt_batched(r0.copy(), b0.copy(), IB_B))
-
-
-def test_tsmqr_scalar_loop(benchmark, tile_rng):
-    r = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    b = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    t = np.stack([tsqrt(r[i], b[i], IB_B) for i in range(BATCH)])
-    c1 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    c2 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-
-    def run():
-        d1, d2 = c1.copy(), c2.copy()
-        for i in range(BATCH):
-            tsmqr(b[i], t[i], d1[i], d2[i])
-
-    benchmark(run)
-
-
-def test_tsmqr_batched(benchmark, tile_rng):
-    r = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    b = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    t = np.stack([tsqrt(r[i], b[i], IB_B) for i in range(BATCH)])
-    c1 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    c2 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    benchmark(lambda: tsmqr_batched(b, t, c1.copy(), c2.copy()))
-
-
-def test_batched_matches_scalar_loop(tile_rng):
-    """Sanity (no timing): the two sides of the pairs compute the same bits."""
-    r0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    b0 = tile_rng.standard_normal((BATCH, NB_B, NB_B))
-    r1, b1 = r0.copy(), b0.copy()
-    t1 = np.stack([tsqrt(r1[i], b1[i], IB_B) for i in range(BATCH)])
-    t2 = tsqrt_batched(r0, b0, IB_B)
-    assert np.array_equal(r0, r1) and np.array_equal(b0, b1)
-    assert np.array_equal(t1, t2)
+if __name__ == "__main__":
+    raise SystemExit(main())

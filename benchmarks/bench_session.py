@@ -59,7 +59,7 @@ def run_session_bench(
     The baseline is repeated one-shot ``qr_factor(backend="parallel")`` —
     spawn + attach + schedule derivation on every call.  Against it, three
     warm rows share one session's cached plan, DAG, wavefronts, arena, and
-    pool: pooled parallel dispatch with stacked wavefront slices, pooled
+    pool: pooled parallel dispatch of whole wavefront slices, pooled
     parallel dispatch with the default op batching, and the single-thread
     batched executor on the cached wavefront partition.  The headline
     ``amortized_speedup`` takes the fastest warm row — which one wins is a
@@ -104,7 +104,7 @@ def run_session_bench(
             exact = exact and bool(np.array_equal(f.R, ref.R))
 
         # Warm calls with the default dispatch batch: same pool/arena/DAG
-        # reuse, no stacked wavefront slices.
+        # reuse, no wavefront slices.
         warm_default_times = []
         for _ in range(calls):
             dt, f = timed(lambda: sess.factor(a, **kw))
@@ -112,7 +112,7 @@ def run_session_bench(
             exact = exact and bool(np.array_equal(f.R, ref.R))
 
         # Warm single-thread batched calls: no pool, but the cached
-        # wavefront partition feeds the stacked executor directly.
+        # wavefront partition feeds the wavefront executor directly.
         warm_batched_times = []
         for _ in range(calls):
             dt, f = timed(lambda: sess.factor(a, **kw, backend="batched"))

@@ -14,7 +14,7 @@ This module *proves* it for a given plan:
    because the DAG's deliberate omission of write-after-read edges is only
    sound when the racing accesses touch disjoint regions (see
    :mod:`repro.qr.dag` and the structure-awareness notes in
-   :mod:`repro.kernels.tsqrt`).
+   :mod:`repro.kernels.lapack`).
 2. The DAG's transitive happens-before relation is materialised as a bitset
    ancestor closure — one ``ceil(n/64)``-word row per op, built in a single
    topological sweep, so multi-thousand-op plans certify in well under a
@@ -80,7 +80,7 @@ RTRI = "rtri"
 #: GEQRT (the unit diagonal is implicit, so the diagonal is *not* read).
 VLOW = "vlow"
 #: Upper trapezoid of the first ``m2`` rows — the TT reflector storage;
-#: :func:`repro.kernels.tsqrt.ttqrt` masks out everything below it.
+#: :func:`repro.kernels.lapack.ttqrt` writes back nothing below it.
 TTOP = "ttop"
 #: First ``m2`` rows, all columns — the slice a TTMQR update rewrites.
 TROWS = "toprows"
@@ -102,7 +102,7 @@ def op_access_regions(op: Op) -> tuple[tuple, tuple]:
     / :meth:`~repro.qr.ops.Op.writes`: same tiles (the certifier
     cross-checks), but each access names the storage region the kernel
     actually touches, per the structure-awareness contracts documented in
-    :mod:`repro.kernels.geqrt` and :mod:`repro.kernels.tsqrt`:
+    :mod:`repro.kernels.lapack`:
 
     * ORMQR reads only the strictly-lower reflectors of the pivot tile;
     * TSQRT/TTQRT write only the upper ``R`` triangle of the pivot tile;

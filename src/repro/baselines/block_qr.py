@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.geqrt import geqrt, ormqr
+from ..kernels.lapack import geqrt, ormqr
 from ..util.validation import as_f64_matrix, check_positive_int, require
 
 __all__ = ["block_qr", "block_qr_r"]

@@ -1,6 +1,8 @@
 """Tile QR computational kernels (paper Section V-B) and flop counts.
 
-The six kernels mirror PLASMA's core BLAS set:
+The six kernels are PLASMA's core BLAS set, run through LAPACK's tile-QR
+routines (:mod:`repro.kernels.lapack` wraps SciPy's ``dgeqrt``,
+``dgemqrt``, ``dtpqrt`` and ``dtpmqrt``):
 
 ======== =============================================================
 GEQRT    QR of a tile; R in the upper triangle, reflectors below.
@@ -15,9 +17,9 @@ Observability: the six kernels exported here are thin shims over the real
 implementations.  When a recorder is installed (:mod:`repro.obs`) each
 invocation is timed into a :class:`~repro.obs.record.Span` on the calling
 thread's lane and charged with its exact :mod:`~repro.kernels.flops`
-count, so *every* in-process backend (serial reference, PULSAR threads,
-domino array) reports identical per-kernel evidence with no per-backend
-code.  With no recorder the shim is one global load and one branch —
+count, so *every* in-process backend (serial reference, wavefront
+executor, PULSAR threads, domino array) reports identical per-kernel
+evidence with no per-backend code.  With no recorder the shim is one global load and one branch —
 tracing off costs nothing measurable.
 """
 
@@ -36,9 +38,9 @@ from .flops import (
     ttmqr_flops,
     ttqrt_flops,
 )
-from .geqrt import geqrt as _geqrt, ormqr as _ormqr
-from .householder import larfg, larft_column
-from .tsqrt import (
+from .lapack import (
+    geqrt as _geqrt,
+    ormqr as _ormqr,
     tsmqr as _tsmqr,
     tsqrt as _tsqrt,
     ttmqr as _ttmqr,
@@ -93,8 +95,6 @@ ttmqr = _instrumented(
 )
 
 __all__ = [
-    "larfg",
-    "larft_column",
     "geqrt",
     "ormqr",
     "tsqrt",

@@ -252,10 +252,6 @@ def check_regression(entry: dict, baseline: dict, *, tolerance: float = 0.5) -> 
     Besides the baseline comparisons, two *absolute* floors are enforced
     (checked against the entry itself rather than history):
 
-    * the batched backend must not be slower than serial on the pinned
-      config — wavefront batching exists to amortise dispatch overhead, so
-      ``batched_s > serial_s`` means the optimisation has regressed into a
-      pessimisation regardless of history;
     * a warm ``QRSession.factor`` call must not be slower than a cold
       one-shot ``qr_factor(backend="parallel")`` on the same config — the
       session exists to amortise spawn/attach and plan derivation, so
@@ -267,13 +263,6 @@ def check_regression(entry: dict, baseline: dict, *, tolerance: float = 0.5) -> 
       the snapshot machinery has become the bottleneck.
     """
     problems = []
-    serial = entry["measured"].get("serial_s")
-    batched = entry["measured"].get("batched_s")
-    if serial is not None and batched is not None and batched > serial:
-        problems.append(
-            f"batched backend slower than serial: {batched:.4f}s vs "
-            f"{serial:.4f}s (speedup {serial / batched:.2f}x < 1.0x)"
-        )
     parallel = entry["measured"].get("parallel_s")
     warm = entry["measured"].get("session_warm_s")
     if parallel is not None and warm is not None and warm > parallel:

@@ -16,11 +16,10 @@ Backends
     The reference executor: one Python thread, kernels run in schedule
     order.  Fast and always available.
 ``batched``
-    Wavefront-batched execution in one Python thread
+    Wavefront-order execution in one Python thread
     (:mod:`repro.qr.wavefront`): the op DAG is cut into level-synchronous
-    wavefronts and same-shape ops fuse into single stacked NumPy kernel
-    calls, amortising per-op dispatch overhead.  Factors bit-identical
-    to ``serial``.
+    wavefronts, run one after another, each op through the same kernel
+    wrappers as ``serial``.  Factors bit-identical to ``serial``.
 ``parallel``
     Process-pool execution of the same operation list over shared-memory
     tiles (:mod:`repro.qr.parallel`): real multi-core wall-clock speedup,
@@ -231,9 +230,9 @@ def qr_factor(
     >>> f.counters["ops.total"]  # 1 GEQRT + 2 TSQRT on a 3x1 tile grid
     3.0
 
-    ``batch="wavefront"`` keeps the parallel dispatcher but runs whole
-    wavefront slices as stacked kernel calls — factors stay bit-identical
-    to serial:
+    ``batch="wavefront"`` keeps the parallel dispatcher but sends whole
+    wavefront slices to the workers — factors stay bit-identical to
+    serial:
 
     >>> f_wf = qr_factor(a, nb=4, ib=2, tree="flat",
     ...                  backend="parallel", n_procs=2, batch="wavefront")
@@ -293,7 +292,9 @@ def qr_factor(
     ----------
     a:
         Dense ``(m, n)`` array with ``m >= n``, or a pre-tiled
-        :class:`TileMatrix` (then ``nb`` is taken from it).
+        :class:`TileMatrix` (then ``nb`` is taken from it).  Every entry
+        must be finite: NaN or Inf raises
+        :class:`~repro.util.errors.ConfigurationError`.
     nb, ib:
         Tile size and inner block size (paper: ``nb in {192, 240}``,
         ``ib = 48``).
@@ -320,9 +321,8 @@ def qr_factor(
         ``backend="parallel"`` only: worker process count (default: usable
         CPUs; ``1`` falls back to serial) and operations per dispatch
         message (default: auto).  ``batch="wavefront"`` switches the
-        dispatcher to level-synchronous stacked execution: workers receive
-        whole wavefront slices and run them as single
-        :mod:`repro.kernels.batched` calls (factors still bit-identical).
+        dispatcher to level-synchronous execution: workers receive whole
+        wavefront slices, one message each (factors still bit-identical).
     trace:
         Path to write a Chrome-trace/Perfetto JSON recording of the
         execution (any backend; see :mod:`repro.obs`).  Only the
@@ -415,6 +415,7 @@ def qr_factor(
         tm = TileMatrix.from_dense(a, nb)
         dense_nb = nb
     check_tile_params(tm.m, tm.n, dense_nb, ib)
+    _require_finite(tm)
     require(tm.m >= tm.n, f"tall-skinny QR requires m >= n, got {tm.m} x {tm.n}")
     kind = TreeKind.coerce(tree)
     if h == "auto":
@@ -628,6 +629,20 @@ def qr_factor(
             )
         )
     return f
+
+
+def _require_finite(tm: TileMatrix) -> None:
+    """Reject NaN/Inf input: the kernels would turn it into a non-finite R."""
+    layout = tm.layout
+    for i in range(layout.mt):
+        for j in range(layout.nt):
+            tile = tm.tile(i, j)
+            if not np.isfinite(tile).all():
+                r, c = np.argwhere(~np.isfinite(tile))[0]
+                raise ConfigurationError(
+                    f"A must be finite; A[{layout.row_span(i).start + r}, "
+                    f"{layout.col_span(j).start + c}] = {tile[r, c]}"
+                )
 
 
 def lstsq(

@@ -93,9 +93,7 @@ class SDCGuard:
         self.detected = 0
         self.recovered = 0
         self._reported = (0, 0, 0)
-        # op index -> executions performed so far (shared by the scalar and
-        # stacked paths so a group member repaired scalar-side keeps its
-        # attempt budget).
+        # op index -> executions performed so far.
         self._executions: dict[int, int] = {}
 
     # -- counters ----------------------------------------------------------
@@ -130,18 +128,6 @@ class SDCGuard:
         """
         snapshots = [w.copy() for w in writes]
         t = execute_fn()
-        return self.postcheck(op_index, writes, snapshots, execute_fn, t)
-
-    def postcheck(self, op_index: int, writes, snapshots, reexecute_fn, t):
-        """Verify an execution that already happened; repair on mismatch.
-
-        The stacked wavefront paths call this directly after a batched
-        kernel call (one call per group member, with snapshots taken
-        before the gather); on a checksum mismatch the member's views are
-        restored and ``reexecute_fn`` re-runs it through the *scalar*
-        kernels — bit-identical to the batched ones, so the repair is
-        exact.  Returns the (possibly recomputed) ``T`` factor.
-        """
         plan = self.plan
         while True:
             attempt = self._executions.get(op_index, 0)
@@ -169,7 +155,7 @@ class SDCGuard:
                 )
             for w, s in zip(writes, snapshots):
                 w[...] = s
-            t = reexecute_fn()
+            t = execute_fn()
 
     # -- injection ---------------------------------------------------------
 

@@ -5,7 +5,7 @@ write-after-write on each tile); write-after-read hazards are *not* edges
 because the systolic array decouples them with packets — a factor kernel's
 reflectors travel as a V/T snapshot, so the next factor step on the pivot
 tile's R triangle never waits for remote updates that are still reading V
-(the storage regions are disjoint, see :mod:`repro.kernels.tsqrt`).
+(the storage regions are disjoint, see :mod:`repro.kernels.lapack`).
 
 Communication edges are priced with the machine model:
 

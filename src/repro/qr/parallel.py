@@ -18,9 +18,9 @@ many the machine has.  This module executes the *same* operation list
 * with ``batch="wavefront"`` the dispatcher goes level-synchronous: ops
   are pre-grouped by :func:`repro.qr.wavefront.compute_wavefronts` into
   same-kind, same-shape, tile-disjoint slices (split across workers), a
-  slice is dispatched once *all* its members' dependencies are met, and
-  the worker runs it as one stacked :mod:`repro.kernels.batched` call —
-  the 3D-VSA wavefront execution style on real processes.
+  slice is dispatched as one message once *all* its members' dependencies
+  are met, and the worker runs its ops one by one — the 3D-VSA wavefront
+  execution style on real processes.
 
 Because the dependency graph totally orders every tile's mutations, any
 legal schedule — whichever workers run whichever ops in whatever
@@ -77,7 +77,6 @@ import numpy as np
 
 from .. import kernels
 from ..faults.watchdog import Watchdog
-from ..kernels import batched as _bk
 from ..obs import context as _obs_context
 from ..obs import record as _obs_record
 from ..obs.adapters import KERNEL_CATEGORY
@@ -103,7 +102,7 @@ from .checksum import SDCGuard
 from .dag import op_dependency_graph
 from .ops import Op, operand_views
 from .reference import FactorRecord, TileQRFactors, execute_ops
-from .wavefront import _gather, _operand_views, compute_wavefronts
+from .wavefront import compute_wavefronts
 
 __all__ = [
     "ParallelRunStats",
@@ -223,76 +222,6 @@ def _run_worker_op(store, ops: list[Op], idx: int, ib: int, guard) -> None:
         )
 
 
-def _execute_group(store, ops: list[Op], idxs: list[int], ib: int, flags,
-                   guard=None) -> None:
-    """Run one wavefront slice on shared tiles as a single stacked call.
-
-    ``idxs`` are same-kind, same-shape ops of one wavefront (pairwise
-    tile-disjoint), so gathering their operands into ``(B, ...)`` stacks
-    and calling :mod:`repro.kernels.batched` once is bit-identical to
-    running them one at a time.  The PR 3 idempotency protocol is
-    preserved per op: each op's completion flag is set right after *its*
-    slice of the results is scattered back (and, when the SDC ``guard``
-    is armed, only after its output checksum verified — so a flag never
-    endorses a corrupted tile), and a re-dispatched slice whose flags are
-    partially set falls back to per-op scalar execution of the unflagged
-    ops — tile-disjointness makes that safe, and the scalar kernels are
-    bit-identical to the batched ones.
-    """
-    pend = [i for i in idxs if not flags[i]]
-    if len(pend) < 2 or len(pend) != len(idxs):
-        for i in pend:
-            _run_worker_op(store, ops, i, ib, guard)
-            flags[i] = 1
-        return
-    kind = ops[idxs[0]].kind
-    views = [_operand_views(store, ops[i]) for i in idxs]
-    reads = [v[0] for v in views]
-    writes = [v[1] for v in views]
-    snapshots = None
-    if guard is not None:
-        snapshots = [[w.copy() for w in v[1]] for v in views]
-    if kind == "GEQRT":
-        stack = _gather([w[0] for w in writes])
-        t = _bk.geqrt_batched(stack, ib)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = stack[b]
-            store.t_factor(("G", ops[i].i, ops[i].j))[...] = t[b]
-    elif kind == "ORMQR":
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([store.t_factor(("G", ops[i].i, ops[i].j)) for i in idxs])
-        c = _gather([w[0] for w in writes])
-        _bk.ormqr_batched(v, tstack, c)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = c[b]
-    elif kind in ("TSQRT", "TTQRT"):
-        r1 = _gather([w[0] for w in writes])
-        r2 = _gather([w[1] for w in writes])
-        fn = _bk.tsqrt_batched if kind == "TSQRT" else _bk.ttqrt_batched
-        t = fn(r1, r2, ib)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = r1[b]
-            writes[b][1][...] = r2[b]
-            store.t_factor(("E", ops[i].k2, ops[i].j))[...] = t[b]
-    else:  # TSMQR / TTMQR
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([store.t_factor(("E", ops[i].k2, ops[i].j)) for i in idxs])
-        c1 = _gather([w[0] for w in writes])
-        c2 = _gather([w[1] for w in writes])
-        fn = _bk.tsmqr_batched if kind == "TSMQR" else _bk.ttmqr_batched
-        fn(v, tstack, c1, c2)
-        for b, i in enumerate(idxs):
-            writes[b][0][...] = c1[b]
-            writes[b][1][...] = c2[b]
-    for b, i in enumerate(idxs):
-        if guard is not None:
-            guard.postcheck(
-                i, list(views[b][1]), snapshots[b],
-                lambda i=i: _execute_op(store, ops[i], ib), None,
-            )
-        flags[i] = 1
-
-
 def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
                generation: int, conn: Connection) -> object:
     """Execute one job's dispatch messages until a terminator arrives.
@@ -325,36 +254,6 @@ def _serve_job(store, flags, ops: list[Op], ib: int, fault_plan, rank: int,
             return None
         if isinstance(batch, tuple) and batch[0] == "endjob":
             return batch
-        if isinstance(batch, tuple) and batch[0] == "stack":
-            # Wavefront slice: one stacked kernel call over the whole
-            # group.  The report slices the call window evenly across
-            # the ops so the parent's per-op spans stay exact in sum.
-            idxs = batch[1]
-            # A stacked slice advances ops_done by its whole width, so
-            # honour a crash scheduled anywhere inside it (injected
-            # crashes land on slice boundaries in this mode).
-            if crashy and any(
-                fault_plan.worker_crash(rank, generation, ops_done + b)
-                for b in range(len(idxs))
-            ):
-                os._exit(_CRASH_EXIT_CODE)
-            t0 = time.perf_counter()
-            try:
-                _execute_group(store, ops, idxs, ib, flags, guard)
-            except BaseException:
-                conn.send(("err", rank, idxs[0], traceback.format_exc()))
-                return "err"
-            t1 = time.perf_counter()
-            ops_done += len(idxs)
-            width = (t1 - t0) / len(idxs)
-            conn.send((
-                "done",
-                rank,
-                [(i, t0 + b * width, t0 + (b + 1) * width)
-                 for b, i in enumerate(idxs)],
-                guard.take_delta() if guard is not None else None,
-            ))
-            continue
         done: list[tuple[int, float, float]] = []
         for idx in batch:
             if crashy and fault_plan.worker_crash(rank, generation, ops_done):
@@ -580,9 +479,8 @@ def execute_ops_parallel(
         batched dispatch: the op list is partitioned with
         :func:`repro.qr.wavefront.compute_wavefronts`, same-kind/same-shape
         ops of a wavefront are grouped (and split across workers), and each
-        worker runs its slice as a *single stacked call* into
-        :mod:`repro.kernels.batched` — fewer, larger messages and far less
-        per-op Python overhead, still bit-identical factors.
+        slice travels to its worker as one message — fewer, larger
+        messages, still bit-identical factors.
     timeout_s:
         No-progress watchdog: raise
         :class:`~repro.util.errors.WatchdogTimeout` instead of hanging if
@@ -701,9 +599,9 @@ def execute_ops_parallel(
             deps_left[int(succ_task[e])] -= 1
 
     # Wavefront mode: pre-partition the op list into same-kind, same-shape
-    # groups (one stacked kernel call each), split so a single wide
-    # wavefront still spreads across all workers.  A group enters the ready
-    # pool only when *every* member's dependencies are met — that is the
+    # groups (one dispatch message each), split so a single wide wavefront
+    # still spreads across all workers.  A group enters the ready pool only
+    # when *every* member's dependencies are met — that is the
     # level-synchronous trade the batching makes.
     groups: list[list[int]] = []
     group_of: list[int] = []
@@ -717,7 +615,7 @@ def execute_ops_parallel(
             for idx in wf:
                 if idx in completed_set:
                     continue  # resume: already executed, nothing to group
-                r, w = _operand_views(a, ops[idx])
+                r, w = operand_views(a, ops[idx])
                 key = (ops[idx].kind,) + tuple(v.shape for v in r + w)
                 by_key.setdefault(key, []).append(idx)
             for members in by_key.values():
@@ -912,9 +810,8 @@ def execute_ops_parallel(
                     if deps_left[d] == 0:
                         op_ready(d)
             if wavefront and rec is not None and done:
-                # One report == one stacked call (B == 1 for re-dispatched
-                # singleton slices), mirroring the serial batched executor.
-                rec.count(K_BATCH_CALLS)
+                # One kernel call per op, as in the serial batched executor.
+                rec.count(K_BATCH_CALLS, len(done))
                 rec.count(K_BATCH_OPS, len(done))
             idle.append(w)
 
@@ -1009,21 +906,15 @@ def execute_ops_parallel(
                 if wavefront:
                     _, gid = ready.pop()
                     chunk = groups[gid]
-                    inflight_of[w].update(chunk)
-                    try:
-                        conns[w].send(("stack", chunk))
-                    except (BrokenPipeError, OSError):
-                        handle_death(w, via_conn=conns[w])
-                        continue
                 else:
                     take = min(batch, max(1, len(ready) // (len(idle) + 1)))
                     chunk = [ready.pop() for _ in range(min(take, len(ready)))]
-                    inflight_of[w].update(chunk)
-                    try:
-                        conns[w].send(chunk)
-                    except (BrokenPipeError, OSError):
-                        handle_death(w, via_conn=conns[w])
-                        continue
+                inflight_of[w].update(chunk)
+                try:
+                    conns[w].send(chunk)
+                except (BrokenPipeError, OSError):
+                    handle_death(w, via_conn=conns[w])
+                    continue
                 if rec is not None:
                     rec.count(K_DISPATCH_BATCHES)
 

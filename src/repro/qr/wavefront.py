@@ -1,43 +1,34 @@
-"""Wavefront partition and batched serial executor for tile QR.
+"""Wavefront partition and wavefront-order serial executor for tile QR.
 
 The dependency DAG of a tree QR is shallow and wide: at every level of
 the longest-path schedule, dozens of independent ops of the *same kind
 and shape* are ready (one TSQRT per domain; one TSMQR per domain per
-trailing column).  The serial reference pays Python/NumPy dispatch
-overhead per op and per inner block, which dominates wall time at the
-small tile sizes the paper targets.  This module executes the DAG
-level-synchronously instead:
+trailing column).  This module executes the DAG level-synchronously:
 
 1. :func:`compute_wavefronts` partitions the op list into *wavefronts*
    — antichains of the dependency graph whose ops touch pairwise
    disjoint tiles — using longest-path levels and a greedy first-fit
    split of each level (the split only triggers on write-after-read
    pairs, which share a level because the DAG has no WAR edges).
-2. :func:`execute_ops_batched` runs each wavefront by *gathering* the
-   operands of same-signature ops into contiguous ``(B, m, n)`` stacks,
-   making one call into :mod:`repro.kernels.batched` per group, and
-   *scattering* the results back into the :class:`~repro.tiles.TileMatrix`.
+2. :func:`execute_ops_batched` runs the wavefronts in order, each op
+   through the same scalar kernel wrappers as the serial reference,
+   directly on the :class:`~repro.tiles.TileMatrix` tile views.
 
 Because every DAG edge is respected (wavefronts concatenate to a legal
-schedule) and the batched kernels are bit-identical to the scalar ones,
-``backend="batched"`` produces factors bit-identical to ``serial`` —
-``tests/test_wavefront.py`` asserts both properties.
+schedule) and every op runs the same deterministic kernel on the same
+operands, ``backend="batched"`` produces factors bit-identical to
+``serial`` — ``tests/test_wavefront.py`` asserts both properties.
 
-Observability: each stacked call is recorded as ``B`` per-op kernel
-spans slicing the call window evenly, so lane-busy sums, gap reports
-(``repro.perf.gap``) and critical-path attribution keep working with no
-unmeasured time; ``batch.calls`` / ``batch.ops`` counters summarise the
-achieved batching rate.
+Observability: each op's kernel call records its own span through the
+instrumented shims of :mod:`repro.kernels`; the ``batch.calls`` /
+``batch.ops`` counters count one call per op.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import batched as _bk
-from ..kernels.flops import kernel_flops
 from ..obs import record as _obs_record
-from ..obs.adapters import KERNEL_CATEGORY as _KERNEL_CATEGORY
 from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..util.validation import require
@@ -126,9 +117,8 @@ def wavefront_stats(ops: list[Op], wavefronts: list[list[int]] | None = None) ->
     """Summary statistics of a wavefront partition (for docs and reports).
 
     Returns wavefront count, mean/max width, and the fraction of ops that
-    ride in a stacked call of size >= 2 under same-signature grouping —
-    the number that predicts how much Python dispatch overhead batching
-    can amortise for a given tree shape.
+    share their wavefront with at least one op of the same signature —
+    the ops a stacked kernel call could group for a given tree shape.
     """
     if wavefronts is None:
         wavefronts = compute_wavefronts(ops)
@@ -150,28 +140,25 @@ def wavefront_stats(ops: list[Op], wavefronts: list[list[int]] | None = None) ->
 
 
 def _signature(op: Op) -> tuple:
-    """Approximate batching key for :func:`wavefront_stats`.
+    """Grouping key for :func:`wavefront_stats`.
 
-    ``m2``/``k``/``q`` pin the operand shapes for every non-ragged tile;
-    the executor itself groups by the *exact* gathered view shapes, which
-    additionally separates ragged boundary tiles.
+    ``m2``/``k``/``q`` pin the operand shapes for every non-ragged tile.
     """
     return (op.kind, op.m2, op.k, op.q)
 
 
-# -- batched serial executor -------------------------------------------------
+# -- wavefront-order serial executor -----------------------------------------
 
 
 def execute_ops_batched(
     a: TileMatrix, ops: list[Op], ib: int, *, wavefronts=None,
     fault_plan=None, checkpoint=None, skip=None, preloaded_ts=None,
 ) -> TileQRFactors:
-    """Run an operation list on ``a`` (in place) with wavefront batching.
+    """Run an operation list on ``a`` (in place), one wavefront at a time.
 
     Semantically identical to :func:`repro.qr.reference.execute_ops` —
     factors come out bit-identical — but executes the DAG level by level,
-    fusing same-signature ops of a wavefront into single stacked kernel
-    calls.  Factor records are appended in program order, so
+    each op through the scalar kernel wrappers.  Factor records are appended in program order, so
     :class:`~repro.qr.reference.TileQRFactors` application order is
     unchanged.
 
@@ -210,36 +197,18 @@ def execute_ops_batched(
         rec.register_gauge("batched.ops_done", lambda: progress[0])
     try:
         for wf in wavefronts:
-            # Group by kind + exact operand shapes: every op in a group
-            # gathers into the same stack geometry (ragged boundary tiles
-            # fall into their own groups).
-            groups: dict[tuple, list[int]] = {}
-            views: dict[int, tuple] = {}
             for idx in wf:
-                if idx in skip:
-                    progress[0] += 1
-                    continue
-                r, w = operand_views(a, ops[idx])
-                views[idx] = (r, w)
-                key = (ops[idx].kind,) + tuple(v.shape for v in r + w)
-                groups.setdefault(key, []).append(idx)
-            for members in groups.values():
-                if len(members) == 1:
-                    # Singleton groups skip the gather/scatter machinery and
-                    # run the (instrumented) scalar kernel on the views
-                    # directly — trivially bit-identical to serial.
-                    _run_single(a, ops[members[0]], members[0], ib, ts, t_of,
-                                rec, guard, views[members[0]][1])
-                else:
-                    _run_group(a, ops, members, ib, ts, t_of, rec, views, guard)
-                progress[0] += len(members)
-                if done is not None:
-                    # A mid-wavefront done-set is still predecessor-closed:
-                    # every DAG predecessor sits in a strictly earlier level.
-                    done[members] = True
-                    checkpoint.note_done(len(members))
-                    if checkpoint.due():
-                        checkpoint.write(a, ts.__getitem__, done)
+                if idx not in skip:
+                    _run_single(a, ops[idx], idx, ib, ts, t_of, rec, guard)
+                    if done is not None:
+                        # A mid-wavefront done-set is still predecessor-
+                        # closed: every DAG predecessor sits in a strictly
+                        # earlier level.
+                        done[idx] = True
+                        checkpoint.note_done()
+                        if checkpoint.due():
+                            checkpoint.write(a, ts.__getitem__, done)
+                progress[0] += 1
         if done is not None:
             checkpoint.write(a, ts.__getitem__, done)
     finally:
@@ -255,131 +224,17 @@ def execute_ops_batched(
     return factors
 
 
-def _gather(views: list[np.ndarray]) -> np.ndarray:
-    """Stack equal-shape tile views into one contiguous ``(B, m, n)`` array."""
-    out = np.empty((len(views),) + views[0].shape)
-    for b, v in enumerate(views):
-        out[b] = v
-    return out
-
-
-def _scatter(views: list[np.ndarray], stack: np.ndarray) -> None:
-    """Write stacked results back into the tile views (full-region copy).
-
-    Writing the whole sub-block is safe even where a kernel only touches
-    part of it (e.g. TTQRT's upper trapezoid): the untouched bytes come
-    back unchanged, so co-scheduled readers of the other storage region
-    observe exactly the serial executor's values.
-    """
-    for b, v in enumerate(views):
-        v[...] = stack[b]
-
-
-# Kept as an alias for external callers (the parallel dispatcher imports
-# it); the implementation moved to :func:`repro.qr.ops.operand_views` so
-# the SDC guard and the shared-memory workers can reuse it.
-_operand_views = operand_views
-
-
-def _run_single(a, op: Op, idx: int, ib, ts, t_of, rec, guard=None,
-                writes=None) -> None:
+def _run_single(a, op: Op, idx: int, ib, ts, t_of, rec, guard=None) -> None:
     """Run one op through the scalar kernels (same code path as serial)."""
     if rec is not None:
         _obs_record.set_current_op(idx)
     if guard is None:
         t = _apply_op(a, op, ib, ts)
     else:
-        t = guard.execute(idx, list(writes), lambda: _apply_op(a, op, ib, ts))
+        t = guard.execute(idx, list(operand_views(a, op)[1]),
+                          lambda: _apply_op(a, op, ib, ts))
     if t is not None:
         t_of[idx] = t
     if rec is not None:
         rec.count(_obs_record.K_BATCH_CALLS)
         rec.count(_obs_record.K_BATCH_OPS)
-
-
-def _run_group(a, ops, members, ib, ts, t_of, rec, views, guard=None) -> None:
-    """Execute one same-signature group as a single stacked kernel call."""
-    kind = ops[members[0]].kind
-    reads = [views[idx][0] for idx in members]
-    writes = [views[idx][1] for idx in members]
-    snapshots = None
-    if guard is not None:
-        # Snapshot every member's written regions before the stacked call,
-        # so a checksum mismatch can restore just that member and re-run it
-        # through the (bit-identical) scalar kernels.
-        snapshots = {idx: [w.copy() for w in views[idx][1]] for idx in members}
-    start = rec.now() if rec is not None else 0.0
-
-    if kind == "GEQRT":
-        stack = _gather([w[0] for w in writes])
-        t = _bk.geqrt_batched(stack, ib)
-        _scatter([w[0] for w in writes], stack)
-        for b, idx in enumerate(members):
-            op = ops[idx]
-            ts[("G", op.i, op.j)] = t[b]
-            t_of[idx] = t[b]
-    elif kind == "ORMQR":
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([ts[("G", ops[i].i, ops[i].j)] for i in members])
-        c = _gather([w[0] for w in writes])
-        _bk.ormqr_batched(v, tstack, c)
-        _scatter([w[0] for w in writes], c)
-    elif kind in ("TSQRT", "TTQRT"):
-        r1 = _gather([w[0] for w in writes])
-        r2 = _gather([w[1] for w in writes])
-        fn = _bk.tsqrt_batched if kind == "TSQRT" else _bk.ttqrt_batched
-        t = fn(r1, r2, ib)
-        _scatter([w[0] for w in writes], r1)
-        _scatter([w[1] for w in writes], r2)
-        for b, idx in enumerate(members):
-            op = ops[idx]
-            ts[("E", op.k2, op.j)] = t[b]
-            t_of[idx] = t[b]
-    else:  # TSMQR / TTMQR
-        v = _gather([r[0] for r in reads])
-        tstack = np.stack([ts[("E", ops[i].k2, ops[i].j)] for i in members])
-        c1 = _gather([w[0] for w in writes])
-        c2 = _gather([w[1] for w in writes])
-        fn = _bk.tsmqr_batched if kind == "TSMQR" else _bk.ttmqr_batched
-        fn(v, tstack, c1, c2)
-        _scatter([w[0] for w in writes], c1)
-        _scatter([w[1] for w in writes], c2)
-
-    if guard is not None:
-        for idx in members:
-            op = ops[idx]
-            t = guard.postcheck(
-                idx, list(views[idx][1]), snapshots[idx],
-                lambda op=op: _apply_op(a, op, ib, ts),
-                t_of.get(idx),
-            )
-            if t is not None:
-                ts[t_factor_key(op)] = t
-                t_of[idx] = t
-
-    if rec is not None:
-        _record_group(rec, ops, members, ib, start, rec.now())
-
-
-def _record_group(rec, ops, members, ib, start, end) -> None:
-    """Record one stacked call as per-op spans slicing the window evenly.
-
-    Slicing keeps lane-busy time exact and gives every op a span, so gap
-    reports show no unmeasured time and realized-critical-path waits stay
-    non-negative (wavefronts execute sequentially on one lane).
-    """
-    bsz = len(members)
-    width = (end - start) / bsz
-    for b, idx in enumerate(members):
-        op = ops[idx]
-        rec.record_kernel(
-            op.kind,
-            _KERNEL_CATEGORY[op.kind],
-            kernel_flops(op.kind, op.m2, op.k, op.q, ib),
-            start + b * width,
-            start + (b + 1) * width,
-            0,
-            op=idx,
-        )
-    rec.count(_obs_record.K_BATCH_CALLS)
-    rec.count(_obs_record.K_BATCH_OPS, bsz)

@@ -9,7 +9,7 @@ import repro
 from repro import QRFactorization, qr_factor
 from repro.pulsar import VDP, VSA, Packet
 from repro.tiles import random_dense
-from repro.util import ChannelError, ShapeError
+from repro.util import ChannelError, ConfigurationError, ShapeError
 
 
 class TestTopLevelPackage:
@@ -64,6 +64,35 @@ class TestQRFactorizationSurface:
         a = np.arange(48).reshape(12, 4) % 7 + np.eye(12, 4)
         f = qr_factor(a, nb=4, ib=2, tree="flat")
         assert f.residuals(np.asarray(a, dtype=float))["factorization"] < 1e-13
+
+
+class TestNonFiniteInput:
+    """NaN/Inf fails at the API instead of coming back as a non-finite R."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf])
+    def bad(self, request):
+        a = random_dense(64, 16, seed=52)
+        a[3, 2] = request.param
+        return a
+
+    def test_qr_factor_rejects(self, bad):
+        with pytest.raises(ConfigurationError, match=r"A\[3, 2\]"):
+            qr_factor(bad, nb=16, ib=4)
+
+    def test_qr_factor_rejects_tile_matrix(self, bad):
+        from repro.tiles import TileMatrix
+
+        with pytest.raises(ConfigurationError, match=r"A\[3, 2\]"):
+            qr_factor(TileMatrix.from_dense(bad, 16), ib=4)
+
+    def test_lstsq_rejects(self, bad):
+        with pytest.raises(ConfigurationError):
+            repro.lstsq(bad, np.ones(64), nb=16, ib=4)
+
+    def test_session_factor_rejects(self, bad):
+        with repro.QRSession(n_procs=2) as sess:
+            with pytest.raises(ConfigurationError):
+                sess.factor(bad, nb=16, ib=4)
 
 
 class TestFailureInjection:

@@ -1,4 +1,4 @@
-"""Unit tests for the six tile kernels and the Householder primitives."""
+"""Unit tests for the six tile kernels (LAPACK tile-QR wrappers)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.kernels import (
     geqrt,
-    larfg,
     ormqr,
     tsmqr,
     tsqrt,
@@ -15,6 +14,17 @@ from repro.kernels import (
     ttqrt,
 )
 from repro.util import ShapeError
+
+
+def larfg(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """``(beta, v, tau)`` of the reflector GEQRT computes for one column.
+
+    ``dgeqrt`` on an ``(n, 1)`` tile is one LAPACK ``dlarfg``: ``beta``
+    lands on the diagonal, ``v`` below it, and ``tau`` in ``T``.
+    """
+    a = np.array(x, dtype=np.float64)[:, None]
+    t = geqrt(a, 1)
+    return a[0, 0], a[1:, 0], t[0, 0]
 
 
 def reflector_matrix(v_tail: np.ndarray, tau: float, n: int) -> np.ndarray:
@@ -25,6 +35,8 @@ def reflector_matrix(v_tail: np.ndarray, tau: float, n: int) -> np.ndarray:
 
 
 class TestLarfg:
+    """The elementary reflector (``dlarfg``) inside the GEQRT kernel."""
+
     def test_annihilates_tail(self, rng):
         x = rng.standard_normal(7)
         beta, v, tau = larfg(x)
@@ -208,3 +220,112 @@ class TestTtqrt:
             ttqrt(np.eye(4), np.zeros((5, 4)), 2)  # r2 taller than r1
         with pytest.raises(ShapeError):
             ttqrt(np.zeros((4, 5)), np.zeros((4, 5)), 2)  # r1 not square
+
+
+# A NaN with a payload: overwriting it with any computed NaN changes its bits.
+SENTINEL = np.array([0x7FF8DEAD0000BEEF], dtype=np.uint64).view(np.float64)[0]
+
+
+def _plant(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Fill ``a[mask]`` with the sentinel; return a copy of the filled array."""
+    a[mask] = SENTINEL
+    return a.copy()
+
+
+def _sentinels_intact(a: np.ndarray, before: np.ndarray, mask: np.ndarray) -> bool:
+    return np.array_equal(a[mask].view(np.uint64), before[mask].view(np.uint64))
+
+
+class TestStorageRegions:
+    """Each wrapper reads and writes only the storage region it owns.
+
+    NaN sentinels fill the bytes another reflector owns (``vlow`` below the
+    pivot's diagonal, the strictly-lower part of a TT block); the outputs
+    must stay finite and equal to a run on clean input, and the sentinels
+    must come back bit-unchanged.  This is the region model
+    :mod:`repro.analysis.races` certifies schedules with.
+    """
+
+    @pytest.mark.parametrize("trans", [True, False])
+    def test_ormqr_reads_only_vlow(self, rng, trans):
+        v = rng.standard_normal((8, 8))
+        t = geqrt(v, 4)
+        upper = ~np.tri(8, 8, -1, dtype=bool)
+        c0 = rng.standard_normal((8, 5))
+        clean = c0.copy()
+        ormqr(v, t, clean, trans=trans)
+        before = _plant(v, upper)  # R triangle, diagonal included
+        c = c0.copy()
+        ormqr(v, t, c, trans=trans)
+        assert _sentinels_intact(v, before, upper)
+        np.testing.assert_array_equal(c, clean)
+
+    @pytest.mark.parametrize("k,m2,ib", [(8, 8, 4), (8, 3, 4), (5, 7, 8)])
+    def test_tsqrt_leaves_vlow_of_r(self, rng, k, m2, ib):
+        r0, a0 = np.triu(rng.standard_normal((k, k))), rng.standard_normal((m2, k))
+        r_clean, a_clean = r0.copy(), a0.copy()
+        t_clean = tsqrt(r_clean, a_clean, ib)
+        vlow = np.tri(k, k, -1, dtype=bool)
+        r, a2 = r0.copy(), a0.copy()
+        before = _plant(r, vlow)
+        t = tsqrt(r, a2, ib)
+        assert _sentinels_intact(r, before, vlow)
+        np.testing.assert_array_equal(r[~vlow], r_clean[~vlow])
+        np.testing.assert_array_equal(a2, a_clean)
+        np.testing.assert_array_equal(t, t_clean)
+        assert np.isfinite(t).all() and np.isfinite(a2).all()
+
+    @pytest.mark.parametrize("k,m2,ib", [(8, 8, 4), (8, 5, 4), (7, 3, 16)])
+    def test_ttqrt_stays_in_rtri_and_ttop(self, rng, k, m2, ib):
+        r1_0 = np.triu(rng.standard_normal((k, k)))
+        r2_0 = np.triu(rng.standard_normal((m2, k)))
+        r1_clean, r2_clean = r1_0.copy(), r2_0.copy()
+        t_clean = ttqrt(r1_clean, r2_clean, ib)
+        low1, low2 = np.tri(k, k, -1, dtype=bool), np.tri(m2, k, -1, dtype=bool)
+        r1, r2 = r1_0.copy(), r2_0.copy()
+        before1, before2 = _plant(r1, low1), _plant(r2, low2)
+        t = ttqrt(r1, r2, ib)
+        assert _sentinels_intact(r1, before1, low1)
+        assert _sentinels_intact(r2, before2, low2)
+        np.testing.assert_array_equal(r1[~low1], r1_clean[~low1])
+        np.testing.assert_array_equal(r2[~low2], r2_clean[~low2])
+        np.testing.assert_array_equal(t, t_clean)
+        assert np.isfinite(t).all()
+
+    @pytest.mark.parametrize("trans", [True, False])
+    @pytest.mark.parametrize("m2", [8, 5])
+    def test_ttmqr_reads_only_ttop(self, rng, trans, m2):
+        k = 8
+        r1, v2 = np.triu(rng.standard_normal((k, k))), np.triu(rng.standard_normal((m2, k)))
+        t = ttqrt(r1, v2, 4)
+        c1_0, c2_0 = rng.standard_normal((k, 6)), rng.standard_normal((m2, 6))
+        c1_clean, c2_clean = c1_0.copy(), c2_0.copy()
+        ttmqr(v2, t, c1_clean, c2_clean, trans=trans)
+        low = np.tri(m2, k, -1, dtype=bool)
+        before = _plant(v2, low)
+        c1, c2 = c1_0.copy(), c2_0.copy()
+        ttmqr(v2, t, c1, c2, trans=trans)
+        assert _sentinels_intact(v2, before, low)
+        np.testing.assert_array_equal(c1, c1_clean)
+        np.testing.assert_array_equal(c2, c2_clean)
+
+    @pytest.mark.parametrize("update", [tsmqr, ttmqr])
+    def test_pair_updates_leave_c1_rows_past_k(self, rng, update):
+        k = 6
+        r, v2 = np.triu(rng.standard_normal((k, k))), np.triu(rng.standard_normal((k, k)))
+        t = (tsqrt if update is tsmqr else ttqrt)(r, v2, 3)
+        c1 = rng.standard_normal((k + 3, 4))
+        c2 = rng.standard_normal((k, 4))
+        tail = np.zeros(c1.shape, dtype=bool)
+        tail[k:] = True
+        before = _plant(c1, tail)
+        update(v2, t, c1, c2)
+        assert _sentinels_intact(c1, before, tail)
+        assert np.isfinite(c1[:k]).all() and np.isfinite(c2).all()
+
+    def test_geqrt_pads_t_rows_when_ib_exceeds_k(self, rng):
+        a = rng.standard_normal((12, 5))
+        t = geqrt(a, 8)
+        assert t.shape == (8, 5)
+        np.testing.assert_array_equal(t[5:], 0.0)
+        assert np.all(np.diag(t[:5]) != 0.0)

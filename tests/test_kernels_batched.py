@@ -1,11 +1,9 @@
-"""Bit-exactness of the stacked kernels against their scalar counterparts.
+"""The stacked ``*_batched`` helpers against their scalar counterparts.
 
-Every ``*_batched`` kernel must reproduce the scalar kernel mapped over the
+Every ``*_batched`` helper must reproduce the scalar kernel mapped over the
 batch *bit for bit* (``np.array_equal``), across inner block sizes, tile
-shapes (square, tall, ragged), and batch sizes — that is the contract that
-makes ``backend="batched"`` interchangeable with ``backend="serial"``.
-The zero-tail cases exercise the ``tau == 0`` encoding, where the batched
-kernels deliberately apply a no-op update instead of branching.
+shapes (square, tall, ragged), and batch sizes.  The zero-tail cases
+exercise the ``tau == 0`` reflector path.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ def test_batched_backend_counters(tmp_path):
         trace=str(tmp_path / "trace.json"),
     )
     c = f.counters
-    # Every op rides in exactly one stacked call (singletons count as B=1).
+    # Every op is counted as one kernel call.
     assert c["batch.ops"] == c["ops.total"]
     assert 0 < c["batch.calls"] <= c["batch.ops"]
 

@@ -7,10 +7,9 @@ burst that bounds the tracing-off fast path), appends the entry to
 ``results/BENCH_qr.json``, and fails when wall time regresses beyond the
 noise band — or when the derived op/flop counters drift at all — against
 the minimum of the last few comparable entries (same pinned config, same
-host fingerprint).  Three absolute floors fail the gate outright: the
-batched backend slower than serial, a warm ``QRSession.factor`` call
-slower than one-shot parallel, and a checkpointed parallel run more than
-15% slower than a plain one.  See ``docs/performance.md``,
+host fingerprint).  Two absolute floors fail the gate outright: a warm
+``QRSession.factor`` call slower than one-shot parallel, and a
+checkpointed parallel run more than 15% slower than a plain one.  See ``docs/performance.md``,
 ``docs/sessions.md``, and ``docs/robustness.md``.
 
 Usage::
