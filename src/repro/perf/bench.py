@@ -68,12 +68,33 @@ def _git_commit() -> str | None:
     return out.stdout.strip() or None if out.returncode == 0 else None
 
 
+#: Environment variables that set the BLAS thread count (``tools/bench_gate.py``
+#: pins each to 1 before NumPy loads).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_vendor() -> str:
+    """NumPy's BLAS as ``"<name> <version>"`` from its build configuration."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def host_fingerprint() -> dict:
-    """What must match for two wall times to be comparable."""
+    """What must match for two wall times to be comparable.
+
+    The BLAS library and its thread setting are part of it: the same
+    machine runs the kernels at a different speed under another BLAS or
+    thread count.
+    """
     return {
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "system": platform.system(),
+        "blas": _blas_vendor(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
 
 
@@ -117,7 +138,8 @@ def run_qr_benchmark(
 
     # Plain vs checkpointed parallel runs, *interleaved* (docs/robustness.md):
     # the checkpointed run adds a mid-run snapshot every ~half the schedule
-    # plus the final one, and the gate holds their ratio to an absolute
+    # plus the closing one (skipped when the cadence already wrote the
+    # finished frontier), and the gate holds their ratio to an absolute
     # floor — so both minima must sample the same machine-load conditions.
     # Timing the two in separate loops lets load drift between them read as
     # checkpoint overhead (or hide it).

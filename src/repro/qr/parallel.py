@@ -1000,6 +1000,7 @@ def execute_ops_parallel(
         if checkpoint is not None:
             # Final snapshot: all flags set, so a resume from this archive
             # skips every op (and the file doubles as a completion marker).
+            # The store skips it when the cadence already wrote this frontier.
             checkpoint.write(store, store.t_factor, flags_view.astype(bool))
 
         factored = store.extract_matrix()

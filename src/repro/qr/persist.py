@@ -23,7 +23,7 @@ Writes are crash-safe: the archive is assembled in a temporary file in the
 destination directory, fsynced, and atomically renamed over the target with
 ``os.replace`` — a process killed mid-write leaves the previous archive (if
 any) intact and never a half-written one.  Reads are defensive: every
-archive carries a whole-archive BLAKE2b digest, and :func:`_read_archive`
+archive carries a whole-archive SHA-256 digest, and :func:`_read_archive`
 rejects truncated, bit-flipped, or otherwise malformed files with a
 :class:`~repro.util.errors.ConfigurationError` instead of a raw
 numpy/zlib/KeyError.
@@ -32,6 +32,7 @@ numpy/zlib/KeyError.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 import tempfile
 import time
@@ -48,7 +49,7 @@ from ..tiles.matrix import TileMatrix
 from ..tiles.shared import t_factor_key
 from ..trees.plan import TreeKind, plan_all_panels
 from ..util.errors import ConfigurationError, ReproError
-from ..util.validation import require
+from ..util.validation import check_positive_int, require
 from .api import QRFactorization
 from .ops import expand_plans
 from .reference import FactorRecord, TileQRFactors, execute_ops
@@ -61,8 +62,9 @@ __all__ = [
     "resume_factorization",
 ]
 
-#: Version 2 added the ``__format__`` marker and the whole-archive digest.
-_FORMAT_VERSION = 2
+#: Version 2 added the ``__format__`` marker and the whole-archive digest;
+#: version 3 switched that digest from BLAKE2b to SHA-256.
+_FORMAT_VERSION = 3
 _KIND_CODES = {"GEQRT": 0, "TSQRT": 1, "TTQRT": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -74,14 +76,17 @@ _FMT_CHECKPOINT = "qr-checkpoint"
 
 
 def _archive_digest(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    """BLAKE2b digest over every entry's name, dtype, shape, and bytes.
+    """SHA-256 digest over every entry's name, dtype, shape, and bytes.
 
     Stored inside the archive as ``__digest__`` and re-derived on load:
     any truncation or bit flip in the compressed stream either breaks
     decompression (caught as a read error) or changes some entry's bytes
     (caught here).  The digest entry itself is excluded from its own hash.
+    Arrays are hashed through their buffer, without a ``tobytes`` copy,
+    and SHA-256 runs on the CPU's SHA extensions where they exist
+    (``docs/performance.md``, "Checkpoint cost").
     """
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.sha256()
     for name in sorted(arrays):
         if name == "__digest__":
             continue
@@ -89,7 +94,7 @@ def _archive_digest(arrays: dict[str, np.ndarray]) -> np.ndarray:
         h.update(name.encode())
         h.update(str(arr.dtype).encode())
         h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(arr)
     return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
@@ -271,6 +276,10 @@ class CheckpointStore:
         elapsed, whichever comes first (checked at op/group granularity;
         the parallel dispatcher additionally quiesces in-flight work
         before writing so the snapshot is a consistent frontier).
+        ``every_s=float("inf")`` gives a count-only cadence.  Each distinct
+        frontier is written once: a snapshot whose done set equals the
+        previous one's is skipped, so the executors' closing snapshot
+        costs nothing when the cadence already wrote the finished run.
     on_write:
         Optional callable invoked as ``on_write(writes_so_far)`` right
         after each snapshot becomes visible — the chaos tests use it to
@@ -282,10 +291,13 @@ class CheckpointStore:
 
     def __init__(self, path: str | os.PathLike, *, every_ops: int = 256,
                  every_s: float = 5.0, on_write=None):
-        require(every_ops >= 1, f"every_ops must be >= 1, got {every_ops}")
-        require(every_s > 0.0, f"every_s must be > 0, got {every_s}")
+        self.every_ops = check_positive_int(every_ops, "every_ops")
+        require(
+            isinstance(every_s, numbers.Real) and not isinstance(every_s, bool)
+            and every_s > 0.0,
+            f"every_s must be a positive number of seconds, got {every_s!r}",
+        )
         self.path = os.fspath(path)
-        self.every_ops = int(every_ops)
         self.every_s = float(every_s)
         self.on_write = on_write
         #: Snapshots written so far / total archive bytes written.
@@ -315,6 +327,7 @@ class CheckpointStore:
         self._staged_ts: dict[int, np.ndarray] = {}
         self._pending_done = None
         self._written_mask = np.zeros(len(ops), dtype=bool)
+        self._captured = False
         self._ops_since = 0
         self._last_write = time.monotonic()
 
@@ -336,7 +349,9 @@ class CheckpointStore:
         :func:`~repro.tiles.shared.t_factor_key` to the completed op's
         ``T`` array.  Only tiles dirtied by ops completed since the last
         snapshot are re-copied, so steady-state capture cost tracks the op
-        rate, not the matrix size.
+        rate, not the matrix size.  When no op completed since the last
+        capture, nothing is staged and the next :meth:`flush` writes
+        nothing: the archive on disk already holds this frontier.
 
         Capture must run while the tiles are quiescent (no concurrent
         kernel mutating them), but it is only memcpys into parent-owned
@@ -348,6 +363,11 @@ class CheckpointStore:
             raise ReproError("CheckpointStore.capture before bind()")
         done_mask = np.asarray(done_mask, dtype=bool)
         newly = np.flatnonzero(done_mask & ~self._written_mask)
+        self._ops_since = 0
+        self._last_write = time.monotonic()
+        if not newly.size and self._captured:
+            return  # same frontier as the last snapshot: nothing to write
+        self._captured = True
         dirty: set[tuple[int, int]] = set()
         for idx in newly:
             op = self._ops[idx]
@@ -359,8 +379,6 @@ class CheckpointStore:
             self._a[layout.row_span(i), layout.col_span(j)] = tiles.tile(i, j)
         self._pending_done = done_mask.astype(np.uint8)
         self._written_mask |= done_mask
-        self._ops_since = 0
-        self._last_write = time.monotonic()
 
     def flush(self) -> None:
         """Serialize the last :meth:`capture` and atomically replace the archive."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.qr import CheckpointStore, resume_factorization
 from repro.qr.api import qr_factor
+from repro.tiles import random_dense
 from repro.util import ConfigurationError
 
 KW = dict(nb=8, ib=4, tree="hier", h=3)
@@ -54,6 +55,43 @@ class TestCheckpointResume:
             k: v for k, v in extra.items() if k != "batch"
         })
         assert f.ops_skipped >= 1
+        np.testing.assert_array_equal(clean.R, f.R)
+
+    @pytest.mark.parametrize(
+        "backend,extra",
+        [
+            ("serial", {}),
+            ("batched", {}),
+            ("parallel", {"n_procs": 2}),
+            ("parallel", {"n_procs": 2, "batch": "wavefront"}),
+        ],
+        ids=["serial", "batched", "parallel", "parallel-wavefront"],
+    )
+    def test_every_snapshot_advances_the_frontier(self, tmp_path, backend, extra):
+        """One archive per distinct frontier: the executors' closing
+        snapshot is skipped when the cadence already wrote the full run."""
+        from repro.qr import persist
+
+        a = random_dense(48, 24, seed=5)
+        clean = qr_factor(a, **KW)
+        n_ops = int(round(clean.counters["ops.total"]))
+        assert n_ops % 2 == 0
+        path = tmp_path / "c.npz"
+        done_counts = []
+
+        def on_write(writes: int) -> None:
+            arrays = persist._read_archive(path, persist._FMT_CHECKPOINT)
+            done_counts.append(int(arrays["__done__"].sum()))
+
+        ck = CheckpointStore(path, every_ops=n_ops // 2, on_write=on_write)
+        qr_factor(a, **KW, backend=backend, checkpoint=ck, **extra)
+        assert ck.writes == len(done_counts)
+        assert all(x < y for x, y in zip(done_counts, done_counts[1:]))
+        assert done_counts[-1] == n_ops
+        if backend in ("serial", "batched"):
+            assert done_counts == [n_ops // 2, n_ops]
+        f = resume_factorization(path)
+        assert f.ops_skipped == n_ops
         np.testing.assert_array_equal(clean.R, f.R)
 
     def test_resume_backend_need_not_match_original(self, tmp_path, small_matrix):
@@ -142,6 +180,18 @@ class TestCheckpointResume:
             CheckpointStore(tmp_path / "c.npz", every_ops=0)
         with pytest.raises(ConfigurationError, match="every_s"):
             CheckpointStore(tmp_path / "c.npz", every_s=0.0)
+        # Non-integer counts and non-numeric periods are rejected, not
+        # truncated or coerced.
+        for bad in (2.5, True, "3", None):
+            with pytest.raises(ConfigurationError, match="every_ops"):
+                CheckpointStore(tmp_path / "c.npz", every_ops=bad)
+        for bad in ("3", None, True, float("nan"), -1.0):
+            with pytest.raises(ConfigurationError, match="every_s"):
+                CheckpointStore(tmp_path / "c.npz", every_s=bad)
+        # An infinite period is a count-only cadence.
+        ck = CheckpointStore(tmp_path / "c.npz", every_ops=np.int64(4),
+                             every_s=float("inf"))
+        assert (ck.every_ops, ck.every_s) == (4, float("inf"))
 
     def test_resume_rejects_bad_backend(self, tmp_path, small_matrix):
         path = _interrupted_checkpoint(tmp_path, small_matrix, backend="serial")

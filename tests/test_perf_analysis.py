@@ -281,6 +281,21 @@ class TestBenchGate:
         assert baseline_for([], _entry()) is None
         assert baseline_for(entries, _entry(host={"cpu_count": 1})) is None
 
+    def test_fingerprint_names_blas_and_its_threads(self, monkeypatch):
+        from repro.perf.bench import BLAS_THREAD_VARS, host_fingerprint
+
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        fp = host_fingerprint()
+        assert fp["blas"] and fp["blas_threads"] == dict.fromkeys(
+            BLAS_THREAD_VARS, "1"
+        )
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert host_fingerprint() != fp
+        # An entry recorded before the BLAS fields existed no longer compares.
+        old = {k: fp[k] for k in ("cpu_count", "machine", "system")}
+        assert baseline_for([_entry(host=old)], _entry(host=fp)) is None
+
     def test_injected_slowdown_fails_and_noise_passes(self):
         base = baseline_for([_entry()], _entry())
         assert check_regression(_entry(serial=1.2, parallel=0.7), base) == []

@@ -36,6 +36,33 @@ def checkpointed(tmp_path, small_matrix):
     return path, f
 
 
+def _arrays(path) -> dict:
+    """Every entry of an ``.npz`` archive, materialised."""
+    with np.load(path) as data:
+        return {k: np.array(data[k]) for k in data.files}
+
+
+def _resave_with_stale_digest(path, entry: str) -> None:
+    """Re-save the archive with one element of ``entry`` changed.
+
+    The old digest is kept, but ``np.savez`` writes fresh zip CRC-32s for
+    the edited payload, so only the archive's own digest can notice.
+    """
+    arrays = _arrays(path)
+    arrays[entry].flat[0] += 1
+    np.savez(path, **arrays)
+
+
+def _resave_as_version(path, version: int) -> None:
+    """Re-save the archive stamped with ``version`` and a matching digest."""
+    from repro.qr import persist
+
+    arrays = _arrays(path)
+    arrays["__meta__"][0] = version
+    arrays["__digest__"] = persist._archive_digest(arrays)
+    np.savez(path, **arrays)
+
+
 class TestFactorizationArchive:
     def test_round_trip_is_bit_exact(self, saved, small_matrix):
         path, f = saved
@@ -59,6 +86,19 @@ class TestFactorizationArchive:
         raw[len(raw) // 2] ^= 0x10
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigurationError):
+            load_factorization(path)
+
+    @pytest.mark.parametrize("entry", ["tile_1_2", "t_0"])
+    def test_digest_covers_payload(self, saved, entry):
+        path, _ = saved
+        _resave_with_stale_digest(path, entry)
+        with pytest.raises(ConfigurationError, match="failed its integrity check"):
+            load_factorization(path)
+
+    def test_version_2_archive_rejected(self, saved):
+        path, _ = saved
+        _resave_as_version(path, 2)
+        with pytest.raises(ConfigurationError, match="format version 2"):
             load_factorization(path)
 
     def test_wrong_format_marker_rejected(self, saved, checkpointed, tmp_path):
@@ -97,6 +137,19 @@ class TestCheckpointArchive:
         raw[len(raw) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ConfigurationError):
+            resume_factorization(path)
+
+    @pytest.mark.parametrize("entry", ["__a__", "__t_data__"])
+    def test_digest_covers_payload(self, checkpointed, entry):
+        path, _ = checkpointed
+        _resave_with_stale_digest(path, entry)
+        with pytest.raises(ConfigurationError, match="failed its integrity check"):
+            resume_factorization(path)
+
+    def test_version_2_checkpoint_rejected(self, checkpointed):
+        path, _ = checkpointed
+        _resave_as_version(path, 2)
+        with pytest.raises(ConfigurationError, match="format version 2"):
             resume_factorization(path)
 
     def test_truncated_checkpoint_rejected(self, checkpointed):

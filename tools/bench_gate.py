@@ -7,10 +7,12 @@ burst that bounds the tracing-off fast path), appends the entry to
 ``results/BENCH_qr.json``, and fails when wall time regresses beyond the
 noise band — or when the derived op/flop counters drift at all — against
 the minimum of the last few comparable entries (same pinned config, same
-host fingerprint).  Two absolute floors fail the gate outright: a warm
-``QRSession.factor`` call slower than one-shot parallel, and a
-checkpointed parallel run more than 15% slower than a plain one.  See ``docs/performance.md``,
-``docs/sessions.md``, and ``docs/robustness.md``.
+host fingerprint: CPU count, machine, OS, BLAS library and BLAS thread
+setting; the gate pins BLAS to one thread).  Two absolute floors fail the
+gate outright: a warm ``QRSession.factor`` call slower than one-shot
+parallel, and a checkpointed parallel run more than 15% slower than a
+plain one.  See ``docs/performance.md``, ``docs/sessions.md``, and
+``docs/robustness.md``.
 
 Usage::
 
@@ -29,9 +31,16 @@ Exit status: 0 = pass (entry recorded), 1 = regression detected.
 
 from __future__ import annotations
 
-import argparse
-import pathlib
-import sys
+import os
+
+# Pin BLAS to one thread before NumPy loads, so wall times compare across
+# runs; the host fingerprint records the setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
