@@ -13,13 +13,22 @@ functional backends.
 
 from __future__ import annotations
 
-import argparse
-import time
+import os
 
-import numpy as np
-import pytest
+if __name__ == "__main__":
+    # Pin BLAS to one thread before NumPy loads, as the repo benchmark does:
+    # on a small host an unpinned OpenBLAS can stall a 64x64 call for
+    # ~0.1 s while its threads wake.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-from repro.kernels import (
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.kernels import (  # noqa: E402
     geqrt,
     kernel_flops,
     ormqr,
@@ -35,28 +44,36 @@ NB, IB = 128, 32
 
 def kernel_call(kind: str, nb: int, ib: int, rng: np.random.Generator):
     """``(call, flops)``: a no-argument call of ``kind`` on fresh copies of
-    random ``nb x nb`` operands, and the flops of one call."""
-    a = rng.standard_normal((nb, nb))
-    r = np.triu(rng.standard_normal((nb, nb)))
-    b = rng.standard_normal((nb, nb))
-    c1 = rng.standard_normal((nb, nb))
-    c2 = rng.standard_normal((nb, nb))
+    random ``nb x nb`` operands, and the flops of one call.
+
+    Operands are column-major like the executors' tiles
+    (:mod:`repro.tiles.matrix`), so each call runs LAPACK in place and the
+    rates match the traced ``kernel.<K>.gflops``, not the copy fallback.
+    """
+    def tile(x: np.ndarray) -> np.ndarray:
+        return x.copy(order="F")
+
+    a = tile(rng.standard_normal((nb, nb)))
+    r = tile(np.triu(rng.standard_normal((nb, nb))))
+    b = tile(rng.standard_normal((nb, nb)))
+    c1 = tile(rng.standard_normal((nb, nb)))
+    c2 = tile(rng.standard_normal((nb, nb)))
     flops = kernel_flops(kind, nb, nb, nb, ib)
     if kind == "GEQRT":
-        return (lambda: geqrt(a.copy(), ib)), flops
+        return (lambda: geqrt(tile(a), ib)), flops
     if kind == "ORMQR":
-        v = a.copy()
+        v = tile(a)
         t = geqrt(v, ib)
-        return (lambda: ormqr(v, t, c1.copy())), flops
+        return (lambda: ormqr(v, t, tile(c1))), flops
     if kind == "TSQRT":
-        return (lambda: tsqrt(r.copy(), b.copy(), ib)), flops
+        return (lambda: tsqrt(tile(r), tile(b), ib)), flops
     if kind == "TTQRT":
-        r2 = np.triu(b)
-        return (lambda: ttqrt(r.copy(), r2.copy(), ib)), flops
+        r2 = tile(np.triu(b))
+        return (lambda: ttqrt(tile(r), tile(r2), ib)), flops
     factor, update = (tsqrt, tsmqr) if kind == "TSMQR" else (ttqrt, ttmqr)
-    v2 = b.copy() if kind == "TSMQR" else np.triu(b)
-    t = factor(r.copy(), v2, ib)
-    return (lambda: update(v2, t, c1.copy(), c2.copy())), flops
+    v2 = tile(b if kind == "TSMQR" else np.triu(b))
+    t = factor(tile(r), v2, ib)
+    return (lambda: update(v2, t, tile(c1), tile(c2))), flops
 
 
 def time_kernel(kind: str, nb: int, ib: int, *, min_s: float = 0.2) -> tuple[float, float]:

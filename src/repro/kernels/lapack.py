@@ -16,18 +16,24 @@ TTMQR    ``dtpmqrt``, ``l = m2``          pair of trailing tiles
 
 Contracts every wrapper keeps:
 
-* **In place, on C-order tile views.**  Operands are copied into Fortran
-  order for LAPACK and the results are copied back into the caller's views.
-* **Storage regions.**  Only the region a kernel owns is written back: the
-  ``R`` triangle of TSQRT/TTQRT's pivot block (``rtri`` in
+* **In place, on Fortran-order tiles.**  Tiles are stored column-major
+  (:mod:`repro.tiles.matrix`), so an F-contiguous operand goes to LAPACK
+  as is, with ``overwrite_*=1``, and comes back mutated in place: no copy
+  in, no copy out.  Views that are not F-contiguous (the ``[:k, :k]`` pivot
+  of a ragged tile, a TT ``[:m2, :k]`` block, C-order caller arrays) are
+  copied into Fortran order and only their owned region is written back.
+* **Storage regions.**  A kernel writes only the region it owns: the ``R``
+  triangle of TSQRT/TTQRT's pivot block (``rtri`` in
   :mod:`repro.analysis.races`) and the upper trapezoid of TTQRT's second
   block (``ttop``).  The strictly-lower bytes (``vlow``) hold reflectors of
-  earlier steps and are never written; LAPACK does not read them either
-  (``tests/test_kernels.py`` fills them with NaN to prove it).
+  earlier steps; LAPACK neither reads nor writes them, and the copy
+  fallback masks them out of its write-back (``tests/test_kernels.py``
+  fills them with NaN on both paths to prove it).
 * **T layout.**  ``T`` comes back as ``(ib, k)``: LAPACK gets
-  ``nb = min(ib, k)`` and the rows beyond ``nb`` are zero, so ``T`` has the
-  same shape for every tile of a factorization.  Each ``nb``-column block
-  holds its upper-triangular compact-WY factor.
+  ``nb = min(ib, k)``.  When ``nb == ib`` LAPACK's own Fortran-order ``T``
+  is returned; only for ``k < ib`` are the rows beyond ``nb`` zero-padded,
+  so ``T`` has the same shape for every tile of a factorization.  Each
+  ``nb``-column block holds its upper-triangular compact-WY factor.
 * ``trans=True`` applies ``Q^T`` (the factorization update) and
   ``trans=False`` applies ``Q`` (reconstructing ``Q``).
 """
@@ -47,8 +53,8 @@ _dgemqrt = _lapack.dgemqrt
 _dtpqrt = _lapack.dtpqrt
 _dtpmqrt = _lapack.dtpmqrt
 
-# Upper-trapezoid masks for the write-back of R triangles and TT
-# reflectors, cached per shape: tile QR repeats the same few shapes.
+# Upper-trapezoid masks for the copy fallback's write-back of R triangles
+# and TT reflectors, cached per shape: tile QR repeats the same few shapes.
 _TRIU_MASKS: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -61,8 +67,15 @@ def _triu_mask(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def _fortran(x: np.ndarray) -> np.ndarray:
-    return np.array(x, order="F")
+def _inout(x: np.ndarray) -> np.ndarray:
+    """``x`` itself when LAPACK can overwrite it in place, else a Fortran copy."""
+    return x if x.flags.f_contiguous else np.array(x, order="F")
+
+
+def _write_back(dst: np.ndarray, out: np.ndarray, where=True) -> None:
+    """Store a fallback result into ``dst``'s owned region (no-op in place)."""
+    if out is not dst:
+        np.copyto(dst, out, where=where)
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -71,8 +84,10 @@ def _check_info(info: int, routine: str) -> None:
 
 
 def _padded(t: np.ndarray, ib: int) -> np.ndarray:
-    """``T`` from LAPACK (``nb`` rows) as an ``(ib, k)`` C-order array."""
-    out = np.zeros((ib, t.shape[1]))
+    """``T`` from LAPACK (``nb`` rows) as an ``(ib, k)`` array."""
+    if t.shape[0] == ib:
+        return t
+    out = np.zeros((ib, t.shape[1]), order="F")
     out[: t.shape[0]] = t
     return out
 
@@ -97,9 +112,9 @@ def geqrt(a: np.ndarray, ib: int) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"geqrt expects a 2-D tile, got ndim={a.ndim}")
     nb = min(ib, *a.shape)
-    out, t, info = _dgeqrt(nb, _fortran(a), overwrite_a=1)
+    out, t, info = _dgeqrt(nb, _inout(a), overwrite_a=1)
     _check_info(info, "dgeqrt")
-    a[...] = out
+    _write_back(a, out)
     return _padded(t, ib)
 
 
@@ -117,10 +132,10 @@ def ormqr(v_tile: np.ndarray, t: np.ndarray, c: np.ndarray, trans: bool = True) 
         raise ShapeError(f"ormqr: c has {c.shape[0]} rows, expected {m}")
     if t.shape[1] != k:
         raise ShapeError(f"ormqr: t has {t.shape[1]} columns, expected {k}")
-    out, info = _dgemqrt(v_tile[:, :k], t[: _nb(t, k)], _fortran(c),
+    out, info = _dgemqrt(v_tile[:, :k], t[: _nb(t, k)], _inout(c),
                          trans=_trans(trans), overwrite_c=1)
     _check_info(info, "dgemqrt")
-    c[...] = out
+    _write_back(c, out)
 
 
 def tsqrt(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
@@ -138,11 +153,11 @@ def tsqrt(r: np.ndarray, a2: np.ndarray, ib: int) -> np.ndarray:
     k = r.shape[1]
     if a2.ndim != 2 or a2.shape[1] != k:
         raise ShapeError(f"tsqrt: a2 must have {k} columns, got {a2.shape}")
-    r_out, v2, t, info = _dtpqrt(0, min(ib, k), _fortran(r), _fortran(a2),
+    r_out, v2, t, info = _dtpqrt(0, min(ib, k), _inout(r), _inout(a2),
                                  overwrite_a=1, overwrite_b=1)
     _check_info(info, "dtpqrt")
-    np.copyto(r, r_out, where=_triu_mask(k, k))
-    a2[...] = v2
+    _write_back(r, r_out, _triu_mask(k, k))
+    _write_back(a2, v2)
     return _padded(t, ib)
 
 
@@ -163,11 +178,11 @@ def ttqrt(r1: np.ndarray, r2: np.ndarray, ib: int) -> np.ndarray:
     if r2.ndim != 2 or r2.shape[1] != k or r2.shape[0] > k:
         raise ShapeError(f"ttqrt: incompatible shapes, {r1.shape} vs {r2.shape}")
     m2 = r2.shape[0]
-    r_out, v2, t, info = _dtpqrt(m2, min(ib, k), _fortran(r1), _fortran(r2),
+    r_out, v2, t, info = _dtpqrt(m2, min(ib, k), _inout(r1), _inout(r2),
                                  overwrite_a=1, overwrite_b=1)
     _check_info(info, "dtpqrt")
-    np.copyto(r1, r_out, where=_triu_mask(k, k))
-    np.copyto(r2, v2, where=_triu_mask(m2, k))
+    _write_back(r1, r_out, _triu_mask(k, k))
+    _write_back(r2, v2, _triu_mask(m2, k))
     return _padded(t, ib)
 
 
@@ -180,11 +195,12 @@ def _pair_update(name: str, l: int, v2, t, c1, c2, trans: bool) -> None:
         raise ShapeError(
             f"{name}: c2 shape {c2.shape} incompatible with v2 {v2.shape} / c1 {c1.shape}"
         )
-    top, bottom, info = _dtpmqrt(l, v2, t[: _nb(t, k)], _fortran(c1[:k]), _fortran(c2),
+    c1_top = c1[:k]
+    top, bottom, info = _dtpmqrt(l, v2, t[: _nb(t, k)], _inout(c1_top), _inout(c2),
                                  trans=_trans(trans), overwrite_a=1, overwrite_b=1)
     _check_info(info, "dtpmqrt")
-    c1[:k] = top
-    c2[...] = bottom
+    _write_back(c1_top, top)
+    _write_back(c2, bottom)
 
 
 def tsmqr(v2: np.ndarray, t: np.ndarray, c1: np.ndarray, c2: np.ndarray,

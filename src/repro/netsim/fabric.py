@@ -55,11 +55,12 @@ MAX_TAG = 16 * 1024
 def _copy_payload(payload: object) -> object:
     """Deep-copy a payload as a network transfer would.
 
-    NumPy arrays are copied buffer-wise; containers recursively.  This is
+    NumPy arrays are copied buffer-wise, keeping their memory order (a
+    column-major tile stays column-major); containers recursively.  This is
     what makes rank isolation real inside one process.
     """
     if isinstance(payload, np.ndarray):
-        return payload.copy()
+        return payload.copy(order="K")
     if isinstance(payload, (list, tuple)):
         out = [_copy_payload(p) for p in payload]
         return tuple(out) if isinstance(payload, tuple) else out

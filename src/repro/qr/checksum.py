@@ -54,7 +54,7 @@ MAX_EXECUTIONS = 3
 
 
 def tile_checksum(view: np.ndarray) -> np.ndarray:
-    """Column sums of the 64-bit patterns of ``view`` (modular ``uint64``).
+    """Column sums of the bit patterns of float64 ``view`` (modular ``uint64``).
 
     Any change to any single element changes its column's sum modulo
     ``2**64`` (the summand's bit pattern changed, so the modular sum
@@ -67,8 +67,10 @@ def tile_checksum(view: np.ndarray) -> np.ndarray:
     >>> bool(checksums_match(tile_checksum(t), ref))
     False
     """
-    bits = np.ascontiguousarray(view, dtype=np.float64).view(np.uint64)
-    return bits.sum(axis=0, dtype=np.uint64)
+    # A same-itemsize view works on any strides, so float64 tiles and
+    # sub-views are summed where they lie, in either memory order: a modular
+    # column sum does not depend on layout.
+    return view.view(np.uint64).sum(axis=0, dtype=np.uint64)
 
 
 def checksums_match(got: np.ndarray, want: np.ndarray) -> bool:
@@ -126,7 +128,7 @@ class SDCGuard:
         op in place and returns its ``T`` factor (or ``None``) — it is
         re-invoked verbatim for recomputation.
         """
-        snapshots = [w.copy() for w in writes]
+        snapshots = [w.copy(order="K") for w in writes]
         t = execute_fn()
         plan = self.plan
         while True:

@@ -58,7 +58,9 @@ def vdp_factor(vdp: VDP) -> None:
         t = kernels.geqrt(tile, ib)
         store.put_t(("G", i, i), t)
         s["head"] = tile
-        v_payload = np.tril(tile, -1)  # R keeps mutating; snapshot V
+        # R keeps mutating; snapshot V.  ``triu`` of the transpose is ``tril``
+        # in the tile's column-major order, which ORMQR reads without a copy.
+        v_payload = np.triu(tile.T, 1).T
     else:
         t = kernels.tsqrt(s["head"][: s["k"], : s["k"]], tile, ib)
         row = i + vdp.firing_index
@@ -178,7 +180,7 @@ def build_domino_vsa(a: TileMatrix, *, ib: int, total_workers: int = 1) -> QRArr
         vdp.insert_channel(ch, "in", _A)
         n_channels += 1
         for r in range(mt):
-            vsa.preload(tup, _A, a.tile(r, j).copy())
+            vsa.preload(tup, _A, a.tile(r, j).copy(order="K"))
 
     return QRArray(
         vsa=vsa,

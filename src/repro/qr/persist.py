@@ -84,7 +84,9 @@ def _archive_digest(arrays: dict[str, np.ndarray]) -> np.ndarray:
     (caught here).  The digest entry itself is excluded from its own hash.
     Arrays are hashed through their buffer, without a ``tobytes`` copy,
     and SHA-256 runs on the CPU's SHA extensions where they exist
-    (``docs/performance.md``, "Checkpoint cost").
+    (``docs/performance.md``, "Checkpoint cost").  The bytes hashed are
+    the logical C-order ones, so a column-major tile and its C-order copy
+    digest alike and archives verify whatever order their arrays load in.
     """
     h = hashlib.sha256()
     for name in sorted(arrays):
@@ -225,7 +227,7 @@ def load_factorization(path: str | os.PathLike) -> QRFactorization:
     layout = TileLayout(m, n, nb)
     try:
         tiles = [
-            [data[f"tile_{i}_{j}"] for j in range(layout.nt)]
+            [np.asfortranarray(data[f"tile_{i}_{j}"]) for j in range(layout.nt)]
             for i in range(layout.mt)
         ]
         a = TileMatrix(layout, tiles)
@@ -239,7 +241,7 @@ def load_factorization(path: str | os.PathLike) -> QRFactorization:
                     i=i,
                     k2=k2,
                     j=j,
-                    t=data[f"t_{idx}"],
+                    t=np.asfortranarray(data[f"t_{idx}"]),
                     m2=m2,
                     k=k,
                 )
@@ -517,7 +519,7 @@ def resume_factorization(
             idx, rows, cols, offset = (int(x) for x in row)
             preloaded_ts[idx] = t_data[offset:offset + rows * cols].reshape(
                 rows, cols
-            ).copy()
+            ).copy(order="F")
         missing = {i for i in skip if ops[i].is_factor} - preloaded_ts.keys()
         if missing:
             raise KeyError(f"T factors for completed ops {sorted(missing)[:5]}")

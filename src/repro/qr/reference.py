@@ -120,7 +120,10 @@ class TileQRFactors:
         if c.ndim != 2 or c.shape[0] != self.m:
             raise ShapeError(f"c must be ({self.m}, q), got {c.shape}")
         layout = self.a.layout
-        blocks = [c[layout.row_span(i), :] for i in range(layout.mt)]
+        # One Fortran-order block per tile row, copied in and out once, so
+        # the apply kernels update the blocks in place like tiles.
+        blocks = [np.array(c[layout.row_span(i), :], order="F")
+                  for i in range(layout.mt)]
         records = self.records if trans else list(reversed(self.records))
         for rec in records:
             if rec.kind == "GEQRT":
@@ -132,6 +135,8 @@ class TileQRFactors:
                 v2 = self.a.tile(rec.k2, rec.j)[: rec.m2, : rec.k]
                 c2 = blocks[rec.k2][: rec.m2, :]
                 kernels.ttmqr(v2, rec.t, blocks[rec.i], c2, trans=trans)
+        for i, block in enumerate(blocks):
+            c[layout.row_span(i), :] = block
         return c
 
 

@@ -177,8 +177,9 @@ def _domain_body(vdp: VDP) -> None:
             t = kernels.geqrt(tile, ib)
             store.put_t(("G", members[0], s["j"]), t)
             # Send a snapshot of the reflectors: the head tile's R triangle
-            # keeps mutating in this VDP while consumers read V.
-            v_snapshot = np.tril(tile, -1)
+            # keeps mutating in this VDP while consumers read V.  ``triu`` of
+            # the transpose is ``tril`` in the tile's column-major order.
+            v_snapshot = np.triu(tile.T, 1).T
             if s["v_forward"]:
                 vdp.write(_V_OUT, Packet.of(("G", v_snapshot, t, members[0])))
             s["head"] = tile
@@ -373,7 +374,7 @@ def build_qr_vsa(
                     slot = 1 + t_idx
                     if j == 0:
                         _self_channel(vsa, tup, slot, tile_bytes, enabled=t_idx == 0)
-                        vsa.preload(tup, slot, a.tile(r, col).copy())
+                        vsa.preload(tup, slot, a.tile(r, col).copy(order="K"))
                     else:
                         src, sslot = feeds.pop((r, col))
                         vsa.connect(src, sslot, tup, slot, tile_bytes, enabled=t_idx == 0)

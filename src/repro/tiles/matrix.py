@@ -2,8 +2,12 @@
 
 The tile algorithm stores each ``nb x nb`` tile contiguously ("cache
 friendly", paper Section V-A).  :class:`TileMatrix` keeps one owned float64
-array per tile; conversions to and from the dense (LAPACK-style) layout are
-explicit, mirroring the layout-translation step real tile libraries perform.
+array per tile, in column-major (Fortran) order like PLASMA's tiles: that
+is the layout LAPACK's tile kernels take, so :mod:`repro.kernels.lapack`
+hands them the tile itself and they update it in place.  Every constructor
+and copy here produces F-contiguous tiles.  Conversions to and from the
+dense (LAPACK-style) layout are explicit, mirroring the layout-translation
+step real tile libraries perform.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class TileMatrix:
         self.layout = layout
         if tiles is None:
             tiles = [
-                [np.zeros(layout.tile_shape(i, j)) for j in range(layout.nt)]
+                [np.zeros(layout.tile_shape(i, j), order="F") for j in range(layout.nt)]
                 for i in range(layout.mt)
             ]
         else:
@@ -57,12 +61,12 @@ class TileMatrix:
         """Copy a dense array into tile-major storage."""
         a = as_f64_matrix(a)
         layout = TileLayout(a.shape[0], a.shape[1], nb)
-        # Note: an explicit copy, never ascontiguousarray — full-width slices
-        # of a C-contiguous input are already contiguous and would alias the
+        # Note: an explicit copy, never asfortranarray — some slices are
+        # already F-contiguous (any single-column tile) and would alias the
         # caller's array, letting the factorization mutate it.
         tiles = [
             [
-                np.array(a[layout.row_span(i), layout.col_span(j)], order="C", copy=True)
+                np.array(a[layout.row_span(i), layout.col_span(j)], order="F", copy=True)
                 for j in range(layout.nt)
             ]
             for i in range(layout.mt)
@@ -108,7 +112,7 @@ class TileMatrix:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != expected:
             raise ShapeError(f"tile ({i},{j}) must have shape {expected}, got {value.shape}")
-        self._tiles[i][j] = np.array(value, order="C", copy=True)
+        self._tiles[i][j] = np.array(value, order="F", copy=True)
 
     def iter_tiles(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(i, j, tile)`` in row-major order."""
@@ -127,7 +131,7 @@ class TileMatrix:
 
     def copy(self) -> "TileMatrix":
         """Deep copy (each tile buffer is duplicated)."""
-        return TileMatrix(self.layout, [[t.copy() for t in row] for row in self._tiles])
+        return TileMatrix(self.layout, [[t.copy(order="K") for t in row] for row in self._tiles])
 
     def norm_fro(self) -> float:
         """Frobenius norm computed tile-by-tile (no dense assembly)."""

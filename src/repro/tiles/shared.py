@@ -2,7 +2,8 @@
 
 A :class:`SharedTileStore` places every tile of a :class:`TileMatrix` —
 plus one slot per compact-WY ``T`` factor the operation list will produce —
-inside a single ``multiprocessing.shared_memory`` segment.  Worker processes
+inside a single ``multiprocessing.shared_memory`` segment, in the same
+column-major order as :class:`TileMatrix` tiles.  Worker processes
 attach to the segment once, by name, and from then on read and mutate tiles
 in place through NumPy views: no array ever crosses a pipe, only small
 operation indices do.
@@ -122,14 +123,15 @@ class SharedTileStore:
             [
                 np.ndarray(
                     tile_index[(i, j)][1], dtype=np.float64, buffer=buf,
-                    offset=tile_index[(i, j)][0] * 8,
+                    offset=tile_index[(i, j)][0] * 8, order="F",
                 )
                 for j in range(layout.nt)
             ]
             for i in range(layout.mt)
         ]
         self._ts = {
-            key: np.ndarray(shape, dtype=np.float64, buffer=buf, offset=off * 8)
+            key: np.ndarray(shape, dtype=np.float64, buffer=buf, offset=off * 8,
+                            order="F")
             for key, (off, shape) in t_index.items()
         }
 
@@ -179,11 +181,11 @@ class SharedTileStore:
     def extract_matrix(self) -> TileMatrix:
         """Copy the tile grid out into an ordinary (owned) TileMatrix."""
         grid = [
-            [self._tiles[i][j].copy() for j in range(self.layout.nt)]
+            [self._tiles[i][j].copy(order="K") for j in range(self.layout.nt)]
             for i in range(self.layout.mt)
         ]
         return TileMatrix(self.layout, grid)
 
     def extract_ts(self) -> dict[tuple, np.ndarray]:
         """Copy every ``T`` factor out of the segment."""
-        return {key: t.copy() for key, t in self._ts.items()}
+        return {key: t.copy(order="K") for key, t in self._ts.items()}

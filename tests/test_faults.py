@@ -490,6 +490,48 @@ class TestSilentDataCorruption:
         tile[3, 4] = buf[0]
         assert not checksums_match(tile_checksum(tile), before)
 
+    @staticmethod
+    def _tile_layouts(tile: np.ndarray) -> dict[str, np.ndarray]:
+        """``tile`` as C and F arrays and as strided views into bigger arrays."""
+        m, n = tile.shape
+        f_big = np.zeros((m + 3, n + 2), order="F")
+        f_big[1:m + 1, 2:] = tile
+        c_big = np.zeros((2 * m, 3 * n))
+        c_big[::2, ::3] = tile
+        return {
+            "C": np.array(tile, order="C"),
+            "F": np.array(tile, order="F"),
+            "F-block": f_big[1:m + 1, 2:],
+            "strided": c_big[::2, ::3],
+        }
+
+    def test_tile_checksum_is_layout_independent(self, rng):
+        from repro.qr.checksum import tile_checksum
+
+        tile = rng.standard_normal((7, 5))
+        want = tile_checksum(np.ascontiguousarray(tile))
+        for name, view in self._tile_layouts(tile).items():
+            np.testing.assert_array_equal(tile_checksum(view), want, err_msg=name)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "F-block", "strided"])
+    def test_tile_checksum_detects_every_single_element_change(self, rng, layout):
+        from repro.qr.checksum import checksums_match, tile_checksum
+
+        base = rng.standard_normal((6, 4))
+        view = self._tile_layouts(base)[layout]
+        ref = tile_checksum(view)
+        bits = view.view(np.uint64)
+        for pos in np.ndindex(view.shape):
+            for bit in range(64):  # every single-bit flip of every element
+                bits[pos] ^= np.uint64(1 << bit)
+                assert not checksums_match(tile_checksum(view), ref), (pos, bit)
+                bits[pos] ^= np.uint64(1 << bit)
+            old = view[pos]
+            view[pos] = old * 3.0 + 1.0  # an arbitrary different value
+            assert not checksums_match(tile_checksum(view), ref), pos
+            view[pos] = old
+        assert checksums_match(tile_checksum(view), ref)
+
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_every_flip_detected_and_repaired(self, small_matrix, backend):
         from repro.obs import recording

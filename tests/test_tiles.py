@@ -157,3 +157,96 @@ class TestGenerators:
         a, b, x = least_squares_problem(200, 10, noise=1e-3, seed=4)
         resid = np.linalg.norm(a @ x - b)
         assert 0.0 < resid < 1.0
+
+
+def _all_fortran(tm: TileMatrix) -> bool:
+    return all(t.flags.f_contiguous for _, _, t in tm.iter_tiles())
+
+
+class TestFortranTileLayout:
+    """Every tile source yields column-major tiles: the layout LAPACK's tile
+    kernels update in place (:mod:`repro.kernels.lapack`)."""
+
+    def test_from_dense_and_zeros(self, rng):
+        a = rng.standard_normal((37, 21))
+        assert _all_fortran(TileMatrix.from_dense(a, 8))
+        assert _all_fortran(TileMatrix.from_dense(np.asfortranarray(a), 8))
+        assert _all_fortran(TileMatrix.zeros(37, 21, 8))
+
+    def test_single_column_tiles_do_not_alias(self, rng):
+        a = rng.standard_normal((16, 1))  # each tile is already F-contiguous
+        tm = TileMatrix.from_dense(a, 8)
+        tm.tile(1, 0)[0, 0] = 999.0
+        assert a[8, 0] != 999.0
+
+    def test_set_tile_and_copy(self, rng):
+        tm = TileMatrix.zeros(16, 8, 8)
+        tm.set_tile(1, 0, rng.standard_normal((8, 8)))  # a C-order value
+        assert tm.tile(1, 0).flags.f_contiguous
+        assert _all_fortran(tm.copy())
+
+    def test_shared_store_views_and_extract(self, rng):
+        from repro.qr.ops import expand_plans
+        from repro.tiles.shared import SharedTileStore
+        from repro.trees.plan import plan_all_panels
+
+        tm = TileMatrix.from_dense(rng.standard_normal((40, 24)), 8)
+        ops = expand_plans(tm.layout, plan_all_panels("hier", tm.mt, tm.nt, h=2))
+        store = SharedTileStore.create(tm, ops, 4)
+        try:
+            for i, j, _ in tm.iter_tiles():
+                assert store.tile(i, j).flags.f_contiguous
+            assert all(t.flags.f_contiguous for t in store.extract_ts().values())
+            out = store.extract_matrix()
+            assert _all_fortran(out)
+            np.testing.assert_array_equal(out.to_dense(), tm.to_dense())
+        finally:
+            store.close()
+            store.unlink()
+
+    def test_pulsar_preload_keeps_layout(self, rng):
+        from repro.qr.vsa3d import build_qr_vsa
+        from repro.trees.plan import plan_all_panels
+
+        tm = TileMatrix.from_dense(rng.standard_normal((40, 24)), 8)
+        arr = build_qr_vsa(tm, plan_all_panels("hier", tm.mt, tm.nt, h=2), ib=4)
+        preloads = arr.vsa._preloads
+        assert len(preloads) == tm.mt * tm.nt  # every tile enters in panel 0
+        for _, _, packet in preloads:
+            assert packet.data.flags.f_contiguous
+            assert not any(np.shares_memory(packet.data, t) for _, _, t in tm.iter_tiles())
+
+    def test_fabric_payload_copy_keeps_layout(self, rng):
+        from repro.netsim.fabric import _copy_payload
+
+        tile = np.asfortranarray(rng.standard_normal((8, 8)))
+        v, t = _copy_payload(("TS", tile, tile[:4], 3))[1:3]
+        assert v.flags.f_contiguous and not np.shares_memory(v, tile)
+        np.testing.assert_array_equal(v, tile)
+        np.testing.assert_array_equal(t, tile[:4])
+
+    def test_resumed_and_loaded_matrices(self, tmp_path, rng):
+        from repro.qr import CheckpointStore, load_factorization, resume_factorization
+        from repro.qr import save_factorization
+        from repro.qr.api import qr_factor
+
+        class Abort(Exception):
+            pass
+
+        def abort(writes: int) -> None:
+            raise Abort
+
+        a = rng.standard_normal((40, 24))
+        path = tmp_path / "run.ckpt.npz"
+        with pytest.raises(Abort):
+            qr_factor(a, nb=8, ib=4, tree="hier", h=3,
+                      checkpoint=CheckpointStore(path, every_ops=10, on_write=abort))
+        f = resume_factorization(path)
+        assert f.ops_skipped >= 1
+        assert _all_fortran(f._factors.a)
+        assert all(r.t.flags.f_contiguous for r in f._factors.records)
+        np.testing.assert_array_equal(f.R, qr_factor(a, nb=8, ib=4, tree="hier", h=3).R)
+        save_factorization(tmp_path / "f.npz", f)
+        loaded = load_factorization(tmp_path / "f.npz")
+        assert _all_fortran(loaded._factors.a)
+        np.testing.assert_array_equal(loaded.R, f.R)
